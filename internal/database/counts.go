@@ -21,6 +21,7 @@ package database
 // existing row at zero. It is idempotent.
 func (r *Relation) EnableCounts() {
 	if r.counts == nil {
+		r.own()
 		r.counts = make([]int32, r.n)
 	}
 }
@@ -35,6 +36,7 @@ func (r *Relation) CountAt(i int) int32 { return r.counts[i] }
 // and returns the new value. The column must be enabled. Single-writer:
 // call only from a write phase.
 func (r *Relation) AddCountAt(i int, d int32) int32 {
+	r.own()
 	r.counts[i] += d
 	return r.counts[i]
 }
@@ -129,6 +131,7 @@ func (r *Relation) idScratch(first int) []int32 {
 // row ID → new row ID, -1 = deleted; identity below first; w
 // survivors) to the slab, count column, dedup set, and every index.
 func (r *Relation) compact(newID []int32, first, w int) int {
+	r.own()
 	r.writing.Store(true)
 	defer r.writing.Store(false)
 

@@ -129,6 +129,10 @@ type Relation struct {
 	// newIDBuf is DeleteRows' reusable old-ID → new-ID map.
 	newIDBuf []int32
 	stats    StorageStats
+	// borrowed marks a layer relation (layer.go) whose slabs, dedup set
+	// and count column still belong to the relation it was layered
+	// over; the first mutation copies them.
+	borrowed bool
 	// writing asserts the concurrency contract above: set while AddRow
 	// mutates, checked by Probe.
 	writing atomic.Bool
@@ -180,6 +184,7 @@ func (r *Relation) AddRow(row Row) bool {
 	if r.set.lookup(r, row, h) >= 0 {
 		return false
 	}
+	r.own()
 	r.writing.Store(true)
 	id := int32(r.n)
 	for c := range r.cols {
@@ -279,7 +284,7 @@ func (r *Relation) indexFor(mask uint64) *relIndex {
 			cols = append(cols, c)
 		}
 	}
-	idx := &relIndex{cols: cols}
+	idx := &relIndex{cols: cols, owner: r}
 	idx.presize(r.n)
 	for i := 0; i < r.n; i++ {
 		r.scratch = idx.add(r, int32(i), r.scratch)
@@ -347,18 +352,24 @@ func (r *Relation) AddIndexHits(n uint64) {
 	r.stats.IndexHits += n
 }
 
-// Stats returns the relation's engine counters.
+// Stats returns the relation's engine counters: the index work done
+// on this relation, and the slabs it owns. A layer relation (layer.go)
+// starts from zero counters, and until its first write copies them it
+// reports no SlabBytes for the slabs it shares with its base.
 func (r *Relation) Stats() StorageStats {
 	s := r.stats
-	for _, col := range r.cols {
-		s.SlabBytes += 4 * int64(cap(col))
+	if !r.borrowed {
+		for _, col := range r.cols {
+			s.SlabBytes += 4 * int64(cap(col))
+		}
 	}
 	s.Rows = r.n
 	return s
 }
 
 // Clone returns a deep copy of the relation. Indexes are not copied;
-// they rebuild lazily on first use in the clone.
+// they rebuild lazily on first use in the clone. Cloning a layer
+// relation copies the facts it shows, shared or not.
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.arity)
 	out.n = r.n
@@ -403,6 +414,10 @@ func (r *Relation) Equal(s *Relation) bool {
 // goroutine mutates the database (Add/AddRow/Relation may create
 // relations and must run exclusively). The same read/write phase
 // discipline as Relation applies.
+//
+// Layer makes a copy-on-write database over another one (layer.go):
+// evaluation writes into a layer so that its input stays untouched
+// without being copied.
 type DB struct {
 	relations map[string]*Relation
 }
@@ -543,19 +558,34 @@ func (d *DB) Equal(e *DB) bool {
 	return true
 }
 
-// DomainIDs returns the set of interned IDs appearing anywhere in the
-// database, in unspecified order.
-func (d *DB) DomainIDs() []uint32 {
-	seen := make(map[uint32]bool)
-	var out []uint32
+// DomainIDs returns the interned IDs appearing anywhere in the database
+// or in extra, each once, in ascending ID order. It deduplicates with a
+// bitmap over the interner's ID space rather than a hash set, and never
+// touches the symbols themselves.
+func (d *DB) DomainIDs(extra ...uint32) []uint32 {
+	// Every ID in d or extra was interned before this call, so the
+	// bitmap sized now covers them all.
+	seen := make([]uint64, (InternedCount()+63)/64)
 	for _, r := range d.relations {
 		for _, col := range r.cols {
 			for _, id := range col {
-				if !seen[id] {
-					seen[id] = true
-					out = append(out, id)
-				}
+				seen[id>>6] |= 1 << (id & 63)
 			}
+		}
+	}
+	for _, id := range extra {
+		seen[id>>6] |= 1 << (id & 63)
+	}
+	n := 0
+	for _, w := range seen {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]uint32, 0, n)
+	for i, w := range seen {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			out = append(out, uint32(i<<6+b))
+			w &= w - 1
 		}
 	}
 	return out

@@ -124,7 +124,11 @@ func (s *rowSet) remap(newID []int32, first, oldN, w int) {
 // scan and thereafter maintained incrementally — every AddRow appends
 // the new row ID to its posting list, so fixpoint rounds never rebuild.
 type relIndex struct {
-	cols    []int
+	cols []int
+	// owner is the relation whose writes may mutate the index. A layer
+	// relation shares its base's indexes until its first write
+	// deep-copies every index it does not own (layer.go).
+	owner   *Relation
 	table   []int32 // entry index + 1; 0 = empty
 	entries []idxEntry
 }

@@ -418,7 +418,7 @@ func (rd *sreader) index(r *Relation, mask uint64) (*relIndex, error) {
 			cols = append(cols, c)
 		}
 	}
-	idx := &relIndex{cols: cols}
+	idx := &relIndex{cols: cols, owner: r}
 	nentries := rd.count(1)
 	idx.presize(nentries)
 	var scratch Row

@@ -17,6 +17,13 @@
 // as facts are derived, and semi-naive deltas are windows of row IDs
 // into each relation's slab rather than copied tuple slices.
 //
+// Evaluation writes into a copy-on-write layer over the input database
+// rather than a copy of it (see Eval): relations the program only reads
+// are shared with the input, indexes included, and a relation is copied
+// only when a rule head writes it. The active domain, which unbound
+// head variables range over, is computed only for programs that have
+// such a variable.
+//
 // Evaluation is parallel (exec.go): each fixpoint round freezes the
 // store, fans the rule firings out over Options.Workers goroutines that
 // probe the frozen snapshot lock-free, and applies the buffered
@@ -45,18 +52,29 @@ type Stats struct {
 	// (possibly duplicate) head fact.
 	Firings int
 
-	// Storage-engine breakdown for this evaluation.
+	// Storage-engine breakdown for this evaluation. The counters cover
+	// only the work this evaluation did in its copy-on-write layer over
+	// the input (see Eval): an input database's own lifetime counters,
+	// the indexes it already had, and the slabs it lends the layer are
+	// never counted.
 
-	// IndexHits counts join lookups answered by a persistent index.
+	// IndexHits counts join lookups answered by a persistent index,
+	// the input's shared indexes included.
 	IndexHits uint64
 	// IndexBuilds counts full-scan index constructions; bounded by the
 	// number of distinct (predicate, column-mask) pairs in the program,
-	// independent of rounds or data size.
+	// independent of rounds or data size. An index the input already
+	// has is shared, not rebuilt, and does not count.
 	IndexBuilds uint64
 	// IndexAppends counts incremental index maintenance operations:
-	// one per (inserted row, live index on its relation).
+	// one per (row the evaluation inserted, live index on its relation).
 	IndexAppends uint64
-	// SlabBytes is the columnar-slab footprint of the result database.
+	// SlabBytes is the columnar-slab footprint of the relations the
+	// evaluation wrote: the relations it derived facts into, including
+	// the private copy of an input relation that a rule head writes.
+	// Input slabs the evaluation only read are shared and not counted,
+	// so the figure does not depend on the indexes the join orders
+	// chose.
 	SlabBytes int64
 	// InternedConstants is the size of the shared symbol table after
 	// evaluation.
@@ -145,9 +163,26 @@ func (o Options) budget() guard.Budget {
 	return b
 }
 
-// Eval computes the least fixpoint of prog over edb and returns a new
+// Eval computes the least fixpoint of prog over edb and returns a
 // database containing all EDB facts plus every derived IDB fact. The
 // input database is not modified.
+//
+// The result is a copy-on-write layer over edb (database.DB.Layer), so
+// Eval costs what the evaluation touches, not O(|edb|): it neither
+// copies edb nor rebuilds the indexes edb already has. What is shared:
+//
+//   - A relation the program only reads — every relation no rule head
+//     names — keeps edb's slabs, dedup set and indexes. Indexes the
+//     evaluation needs and edb lacks are built into the result's own
+//     index map; edb is never written, so concurrent Evals over one
+//     unchanging edb (a served store under a read lock) are safe.
+//   - A relation a rule head writes gets private storage at its first
+//     new fact; a head relation absent from edb is created private.
+//
+// Writing the result (DB.Add, DB.AddRow, Relation.AddRow, ...) copies
+// the relation first and never reaches edb. Reading it stays valid
+// only while edb is unchanged: a caller that keeps the result and then
+// mutates edb must call Own on it first (or Clone it).
 //
 // A budget trip returns the partial database together with a
 // *guard.LimitError; an internal panic (in this package or a worker
@@ -181,7 +216,7 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 		prog:    prog,
 		rules:   rules,
 		maxVars: maxVars,
-		total:   edb.Clone(),
+		total:   edb.Layer(),
 		opts:    opts,
 		meter:   opts.budget().Started().Meter(),
 		planner: &plan.Planner{Fixed: opts.NoPlanner},
@@ -189,7 +224,9 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 		explain: explain,
 		strata:  strata,
 	}
-	e.domain = activeDomainIDs(prog, edb)
+	if needsDomain(rules) {
+		e.domain = activeDomain(prog, edb)
+	}
 	stats, err = e.run()
 	st := e.total.StorageStats()
 	stats.IndexHits = st.IndexHits + e.probeHits
@@ -209,7 +246,9 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 }
 
 // Goal evaluates prog over edb and returns the relation computed for the
-// goal predicate (empty if the goal derives nothing).
+// goal predicate (empty if the goal derives nothing). The relation is
+// part of Eval's layer over edb: when the program has no rule for the
+// goal it reads edb's storage, and it is valid while edb is unchanged.
 func Goal(prog *ast.Program, edb *database.DB, goal string, opts Options) (*database.Relation, Stats, error) {
 	out, stats, err := Eval(prog, edb, opts)
 	if err != nil {
@@ -261,27 +300,17 @@ func validateArities(prog *ast.Program, edb *database.DB) error {
 	return nil
 }
 
-// activeDomainIDs interns the active domain of the evaluation: the
-// database's constants (in sorted order, for deterministic enumeration)
-// followed by the program's constants in order of appearance.
-func activeDomainIDs(prog *ast.Program, edb *database.DB) []uint32 {
-	seen := make(map[uint32]bool)
-	var out []uint32
-	for _, c := range edb.ActiveDomain() {
-		id := database.Intern(c)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
+// activeDomain returns the active domain of the evaluation — every
+// constant of the database or the program — as interned IDs in
+// ascending ID order, the deterministic enumeration order of unbound
+// head variables. It is O(|DB|), so evalWith calls it only when some
+// rule has an unbound head variable.
+func activeDomain(prog *ast.Program, edb *database.DB) []uint32 {
+	var consts []uint32
 	addAtom := func(a ast.Atom) {
 		for _, t := range a.Args {
 			if t.Kind == ast.Const {
-				id := database.Intern(t.Name)
-				if !seen[id] {
-					seen[id] = true
-					out = append(out, id)
-				}
+				consts = append(consts, database.Intern(t.Name))
 			}
 		}
 	}
@@ -291,5 +320,16 @@ func activeDomainIDs(prog *ast.Program, edb *database.DB) []uint32 {
 			addAtom(a)
 		}
 	}
-	return out
+	return edb.DomainIDs(consts...)
+}
+
+// needsDomain reports whether some compiled rule has a head variable
+// the body leaves unbound (Example 6.2 semantics).
+func needsDomain(rules []crule) bool {
+	for i := range rules {
+		if len(rules[i].head.unboundGroups) > 0 {
+			return true
+		}
+	}
+	return false
 }

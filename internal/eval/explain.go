@@ -88,7 +88,8 @@ func (ex *Explain) String() string {
 // returns the Explain report describing every plan the evaluation ran.
 // The instrumentation only adds per-step counters inside the workers
 // (aggregated at the single-threaded merge), so the returned database,
-// Stats, and error are identical to Eval's for the same inputs.
+// Stats, and error are identical to Eval's for the same inputs, and
+// the database is the same kind of copy-on-write layer over edb.
 func EvalExplain(prog *ast.Program, edb *database.DB, opts Options) (*database.DB, Stats, *Explain, error) {
 	return evalWith(prog, edb, opts, true)
 }

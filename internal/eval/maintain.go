@@ -250,11 +250,12 @@ func (h *Handle) Err() error {
 
 // Maintain computes the initial fixpoint of prog over edb and returns a
 // handle for incremental updates, plus the initial evaluation's Stats.
-// The input database is not modified. It requires internal/ivm to be
-// linked in (it registers itself via RegisterMaintainer) and rejects
-// programs outside the maintainable fragment — rules whose head
-// variables the body does not bind (active-domain semantics would make
-// retraction non-local).
+// The input database is not modified, and the handle shares no storage
+// with it: the caller may mutate or discard edb afterwards. It
+// requires internal/ivm to be linked in (it registers itself via
+// RegisterMaintainer) and rejects programs outside the maintainable
+// fragment — rules whose head variables the body does not bind
+// (active-domain semantics would make retraction non-local).
 func Maintain(prog *ast.Program, edb *database.DB, opts Options) (*Handle, Stats, error) {
 	if maintainerFactory == nil {
 		return nil, Stats{}, fmt.Errorf("eval: Maintain requires the incremental maintainer (import datalogeq/internal/ivm)")

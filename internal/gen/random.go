@@ -38,6 +38,23 @@ func ChainGraph(k int) *database.DB {
 	return db
 }
 
+// ChainForest returns the e facts of a forest of disjoint chains,
+// chain k being cK_0 -> cK_1 -> ... -> cK_edges, in chain order. The
+// transitive closure of one chain has edges·(edges+1)/2 pairs, so with
+// edges fixed the size of a served closure grows with the chain count
+// alone.
+func ChainForest(chains, edges int) []ast.Atom {
+	out := make([]ast.Atom, 0, chains*edges)
+	for k := 0; k < chains; k++ {
+		for j := 0; j < edges; j++ {
+			out = append(out, ast.Atom{Pred: "e", Args: []ast.Term{
+				ast.C(fmt.Sprintf("c%d_%d", k, j)), ast.C(fmt.Sprintf("c%d_%d", k, j+1)),
+			}})
+		}
+	}
+	return out
+}
+
 // GridGraph returns a database whose e relation is a directed (w+1)×(h+1)
 // grid: node (x, y) has an edge right to (x+1, y) and down to (x, y+1).
 // b duplicates the whole of e, so transitive closure derives the full

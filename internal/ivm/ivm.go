@@ -167,6 +167,10 @@ func newMaint(prog *ast.Program, edb *database.DB, opts eval.Options) (*maint, e
 		// A partial fixpoint cannot be maintained; surface the trip.
 		return nil, stats, err
 	}
+	// Eval's output is a copy-on-write layer over edb; the maintainer
+	// mutates it for the handle's lifetime while the caller remains free
+	// to change edb, so it takes private storage for every relation.
+	live.Own()
 	m := wire(prog, rules, edb.Clone(), live, opts)
 	m.initCounts()
 	return m, stats, nil

@@ -3,6 +3,7 @@ package ivm_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"datalogeq/internal/ast"
@@ -350,6 +351,64 @@ func FuzzIncremental(f *testing.F) {
 			if got := h.DB().String(); got != want.String() {
 				t.Fatalf("diverged after %02x:\n got:\n%s\nwant:\n%s", b, got, want)
 			}
+		}
+	})
+}
+
+// TestMaintainOwnsItsStore pins the ownership contract between a handle
+// and the database it was built from: updates never reach the caller's
+// edb — not its facts, its indexes or its stats epoch — and the caller
+// may change edb afterwards without disturbing the handle. Eval returns
+// a copy-on-write layer over its input; the maintainer takes private
+// storage for all of it.
+func TestMaintainOwnsItsStore(t *testing.T) {
+	prog := parser.MustProgram(tcSrc + "hot(Y) :- tc(a, Y).\n")
+	input := func() *database.DB {
+		edb := database.MustParse("e(a, b). e(b, c). e(c, d). tc(z, z).")
+		edb.Lookup("e").EnsureIndex(2)
+		return edb
+	}
+
+	t.Run("updates leave edb unchanged", func(t *testing.T) {
+		edb := input()
+		facts, epoch, masks := edb.String(), edb.StatsEpoch(), edb.Lookup("e").IndexMasks()
+		unchanged := func(when string) {
+			t.Helper()
+			if edb.String() != facts || edb.StatsEpoch() != epoch || !reflect.DeepEqual(edb.Lookup("e").IndexMasks(), masks) {
+				t.Fatalf("%s changed the caller's edb", when)
+			}
+		}
+		h := mustMaintain(t, prog, edb, eval.Options{Workers: 2})
+		unchanged("Maintain")
+		if _, err := h.Insert(parser.MustAtomList("e(d, f), tc(y, y)")); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("Insert")
+		if _, err := h.Retract(parser.MustAtomList("e(a, b), tc(z, z)")); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("Retract")
+		if edb.Contains("e", database.Tuple{"d", "f"}) || edb.Contains("tc", database.Tuple{"y", "y"}) {
+			t.Fatal("inserted facts reached the caller's edb")
+		}
+	})
+
+	t.Run("edb changes leave the handle unchanged", func(t *testing.T) {
+		edb := input()
+		h := mustMaintain(t, prog, edb, eval.Options{Workers: 2})
+		live := h.DB().String()
+		// Before any update: the handle has written nothing of e yet.
+		edb.Lookup("e").DeleteRows(func(i int) bool { return i == 1 })
+		edb.Add("e", database.Tuple{"q", "r"})
+		edb.Lookup("tc").DeleteRows(func(int) bool { return true })
+		if got := h.DB().String(); got != live {
+			t.Fatalf("changing edb after Maintain changed the handle:\n%s\nwant:\n%s", got, live)
+		}
+		if _, err := h.Insert(parser.MustAtomList("e(d, f)")); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := h.DB().String(), fromScratch(t, prog, h.Base().Clone()); got != want {
+			t.Fatalf("handle diverged from its base:\n%s\nwant:\n%s", got, want)
 		}
 	})
 }

@@ -25,8 +25,10 @@ type Request struct {
 	// window, or -1 for a full firing.
 	DeltaPos int
 	// DB is the store planned against; index choices call EnsureIndex
-	// on it, so planning must run in a write phase (eval plans between
-	// rounds, single-threaded).
+	// on its relations, so planning must run in a write phase (eval
+	// plans between rounds, single-threaded). On a copy-on-write layer
+	// (database.DB.Layer) the build lands in the layer relation's own
+	// index map and never in the base it reads.
 	DB *database.DB
 	// Epoch is DB.StatsEpoch() at the round boundary, the cache's
 	// staleness key. The caller reads it once per round so every task
