@@ -16,6 +16,7 @@ import (
 	"datalogeq/internal/core"
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
+	"datalogeq/internal/evaltest"
 	"datalogeq/internal/expansion"
 	"datalogeq/internal/gen"
 	"datalogeq/internal/magic"
@@ -330,29 +331,37 @@ func BenchmarkE8_CQInProgram(b *testing.B) {
 	}
 }
 
-// --- E9: evaluation substrate — naive vs semi-naive.
+// --- E9: evaluation substrate — the semi-naive engine vs the naive
+// reference evaluator (internal/evaltest) on transitive closure.
 
 func BenchmarkE9_Eval(b *testing.B) {
 	prog := gen.TransitiveClosure()
 	rng := rand.New(rand.NewSource(1))
-	dbs := map[string]interface{ FactCount() int }{}
 	chain := gen.ChainGraph(60)
 	random := gen.RandomGraph(rng, 40, 120)
-	_ = dbs
 	for _, cfg := range []struct {
-		name  string
-		naive bool
-	}{{"seminaive", false}, {"naive", true}} {
+		name string
+		run  func(*database.DB) error
+	}{
+		{"seminaive", func(db *database.DB) error {
+			_, _, err := eval.Eval(prog, db, eval.Options{})
+			return err
+		}},
+		{"naive", func(db *database.DB) error {
+			_, err := evaltest.Eval(prog, db, 0)
+			return err
+		}},
+	} {
 		b.Run("chain60/"+cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(prog, chain, eval.Options{Naive: cfg.naive}); err != nil {
+				if err := cfg.run(chain); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("random40x120/"+cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(prog, random, eval.Options{Naive: cfg.naive}); err != nil {
+				if err := cfg.run(random); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	datalog eval -program tc.dl -db graph.dl -goal p [-naive] [-workers 4] [-explain] [-no-planner] [-max-facts N] [-max-steps N] [-timeout 30s]
+//	datalog eval -program tc.dl -db graph.dl -goal p [-workers 4] [-explain] [-optimize] [-max-facts N] [-max-steps N] [-timeout 30s]
 //	datalog eval -program tc.dl -goal p -data ./store [-watch] [-checkpoint] [-snapshot-bytes N] [-max-bytes N]
 //	datalog unfold -program nonrec.dl -goal q [-minimize]
 //	datalog classify -program prog.dl
@@ -29,6 +29,7 @@ import (
 	"datalogeq/internal/expansion"
 	"datalogeq/internal/guard"
 	"datalogeq/internal/nonrec"
+	"datalogeq/internal/opt"
 	"datalogeq/internal/parser"
 	"datalogeq/internal/ucq"
 
@@ -70,7 +71,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: datalog <eval|unfold|classify|check|opt|trees|repl|recover|serve> [flags]
-  eval     -program FILE -db FILE -goal PRED [-naive] [-workers N] [-explain] [-optimize] [-no-planner] [-max-facts N] [-max-steps N] [-timeout D]
+  eval     -program FILE -db FILE -goal PRED [-workers N] [-explain] [-optimize] [-max-facts N] [-max-steps N] [-timeout D]
            [-data DIR] [-watch] [-checkpoint] [-snapshot-bytes N] [-max-bytes N]
   unfold   -program FILE -goal PRED [-minimize]
   classify -program FILE
@@ -97,11 +98,9 @@ func cmdEval(args []string) error {
 	progPath := fs.String("program", "", "program file")
 	dbPath := fs.String("db", "", "facts file")
 	goal := fs.String("goal", "", "goal predicate")
-	naive := fs.Bool("naive", false, "use naive instead of semi-naive evaluation")
 	workers := fs.Int("workers", 0, "worker goroutines per evaluation round (0 = all cores); results are identical for every value")
 	explain := fs.Bool("explain", false, "print each rule's chosen join tree (access paths, estimated vs actual rows) to stderr")
-	noPlanner := fs.Bool("no-planner", false, "disable cost-based join ordering and keep the textual atom order; results are identical either way")
-	optimize := fs.Bool("optimize", false, "run the static optimizer on the program (goal-directed, so non-goal relations may be pruned) and evaluate under its SCC-stratified schedule")
+	optimize := fs.Bool("optimize", false, "run the static optimizer on the program first (goal-directed, so non-goal relations may be pruned); with -explain, print its report")
 	maxFacts := fs.Int64("max-facts", 0, "budget: abort after deriving this many facts (0 = unlimited); a trip prints the partial result")
 	maxSteps := fs.Int64("max-steps", 0, "budget: abort after this many rule firings (0 = unlimited); a trip prints the partial result")
 	timeout := fs.Duration("timeout", 0, "budget: abort evaluation after this duration (0 = no limit)")
@@ -130,14 +129,17 @@ func cmdEval(args []string) error {
 		}
 	}
 	opts := eval.Options{
-		Naive:     *naive,
-		Workers:   *workers,
-		NoPlanner: *noPlanner,
-		Budget:    guard.Budget{MaxFacts: *maxFacts, MaxSteps: *maxSteps, MaxWall: *timeout},
+		Workers: *workers,
+		Budget:  guard.Budget{MaxFacts: *maxFacts, MaxSteps: *maxSteps, MaxWall: *timeout},
 	}
+	var optReport *opt.Report
 	if *optimize {
-		opts.Optimize = true
-		opts.OptimizeGoal = *goal
+		// Every evaluation path below — one-shot, -explain, -watch and
+		// -data — compiles the optimized program, so a maintained
+		// materialization and the rules maintaining it always agree.
+		if prog, optReport, err = opt.Optimize(prog, opt.Options{Goal: *goal}); err != nil {
+			return err
+		}
 	}
 	if *dataDir != "" {
 		return evalDurable(prog, db, *goal, opts, *dataDir, *snapBytes, *maxBytes, *watch, *checkpoint)
@@ -175,6 +177,9 @@ func cmdEval(args []string) error {
 		fmt.Println(l)
 	}
 	if report != nil {
+		if optReport != nil {
+			fmt.Fprintf(os.Stderr, "%% optimizer:\n%s", optReport)
+		}
 		fmt.Fprintf(os.Stderr, "%% query plans:\n%s", report)
 	}
 	fmt.Fprintf(os.Stderr, "%% %d tuples, %d iterations, %d facts derived, %d rule firings\n",
@@ -476,9 +481,20 @@ func cmdRecover(args []string) error {
 	if !*verify {
 		return nil
 	}
-	fresh, _, err := eval.Maintain(prog, h.Base().Clone(), eval.Options{})
+	// The reference is a fresh store seeded with the recovered base,
+	// built the way `eval -data -db` seeds one: an empty materialization
+	// plus one Insert. A durable store's indexes are those its inserts'
+	// delta plans built, so a bare fixpoint (eval.Maintain over the
+	// base) can lack some of them and differ in StatsEpoch on a program
+	// with several strata.
+	fresh, _, err := eval.Maintain(prog, database.New(), eval.Options{})
 	if err != nil {
 		return fmt.Errorf("recover: from-scratch re-evaluation: %w", err)
+	}
+	if facts := dbAtoms(h.Base()); len(facts) > 0 {
+		if _, err := fresh.Insert(facts); err != nil {
+			return fmt.Errorf("recover: from-scratch re-evaluation: %w", err)
+		}
 	}
 	if got, want := h.DB().String(), fresh.DB().String(); got != want {
 		return fmt.Errorf("recover: VERIFY FAILED — recovered state differs from re-evaluation:\n%s\nwant:\n%s", got, want)

@@ -23,19 +23,18 @@ func TestCmdEvalExplain(t *testing.T) {
 			t.Errorf("-explain stderr lacks %q:\n%s", want, detail)
 		}
 	}
-	// -no-planner composes with -explain and flags the fixed order.
+	// -optimize composes with -explain: the optimizer's report comes
+	// first, then the plans of the optimized program.
 	detail = captureStderr(t, func() {
-		err = cmdEval([]string{"-program", prog, "-db", db, "-goal", "p", "-explain", "-no-planner"})
+		err = cmdEval([]string{"-program", prog, "-db", db, "-goal", "p", "-explain", "-optimize"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(detail, "fixed order") {
-		t.Errorf("-no-planner -explain stderr lacks the fixed-order flag:\n%s", detail)
-	}
-	// -no-planner alone evaluates normally.
-	if err := cmdEval([]string{"-program", prog, "-db", db, "-goal", "p", "-no-planner"}); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"optimizer:", "schedule: {p}*", "query plans:"} {
+		if !strings.Contains(detail, want) {
+			t.Errorf("-optimize -explain stderr lacks %q:\n%s", want, detail)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"datalogeq/internal/core"
+	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
 	"datalogeq/internal/expansion"
 	"datalogeq/internal/gen"
@@ -203,25 +204,23 @@ func e8() {
 }
 
 func e9() {
-	section("E9", "evaluation substrate: semi-naive vs naive")
+	section("E9", "evaluation substrate: semi-naive transitive closure")
 	rng := rand.New(rand.NewSource(1))
-	chain := gen.ChainGraph(60)
-	random := gen.RandomGraph(rng, 40, 120)
-	for _, naive := range []bool{false, true} {
+	for _, w := range []struct {
+		name string
+		db   *database.DB
+	}{
+		{"chain-60", gen.ChainGraph(60)},
+		{"random-40x120", gen.RandomGraph(rng, 40, 120)},
+	} {
+		var stats eval.Stats
 		d := timed(func() {
-			if _, _, err := eval.Eval(gen.TransitiveClosure(), chain, eval.Options{Naive: naive}); err != nil {
+			var err error
+			if _, stats, err = eval.Eval(gen.TransitiveClosure(), w.db, eval.Options{}); err != nil {
 				log.Fatal(err)
 			}
 		})
-		fmt.Printf("%-14s naive=%-5v %s\n", "chain-60", naive, d.Round(time.Millisecond))
-	}
-	for _, naive := range []bool{false, true} {
-		d := timed(func() {
-			if _, _, err := eval.Eval(gen.TransitiveClosure(), random, eval.Options{Naive: naive}); err != nil {
-				log.Fatal(err)
-			}
-		})
-		fmt.Printf("%-14s naive=%-5v %s\n", "random-40x120", naive, d.Round(time.Millisecond))
+		fmt.Printf("%-14s %d rounds, %d firings, %s\n", w.name, stats.Iterations, stats.Firings, d.Round(time.Microsecond))
 	}
 }
 

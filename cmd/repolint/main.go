@@ -42,6 +42,11 @@
 //     annotate "//repolint:allow guardcharge — <why trips stay
 //     deterministic>" (e.g. a dedicated meter per task index).
 //
+//   - testonly: a non-test file importing a test-only package (the
+//     reference evaluator internal/evaltest) is flagged. Oracles the
+//     differential tests compare the engine against must not become a
+//     second production code path.
+//
 // Usage: go run ./cmd/repolint ./...
 package main
 
@@ -55,6 +60,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -65,6 +71,12 @@ var orderedPkgs = map[string]bool{
 	"wordauto": true,
 	"core":     true,
 	"ucq":      true,
+}
+
+// testOnlyPkgs are module-relative import paths only _test.go files
+// may import.
+var testOnlyPkgs = map[string]bool{
+	"internal/evaltest": true,
 }
 
 func main() {
@@ -312,6 +324,17 @@ func (l *linter) lintDir(dir string) error {
 	checkGo := rel != "internal/par"
 	for _, f := range pi.files {
 		allowed := allowLines(l.fset, f)
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if !testOnlyPkgs[strings.TrimPrefix(path, l.module+"/")] {
+				continue
+			}
+			pos := l.fset.Position(imp.Pos())
+			if suppressed(allowed["testonly"], pos.Line) {
+				continue
+			}
+			l.report(pos, "imports test-only package "+path+" from a non-test file; import it from _test.go files only or annotate //repolint:allow testonly")
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:

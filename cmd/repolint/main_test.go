@@ -325,6 +325,63 @@ func PerIndex(b guard.Budget, n int) {
 	}
 }
 
+// TestLinterTestOnly: a non-test file importing the test-only oracle
+// package is flagged; _test.go importers and annotated lines are not.
+func TestLinterTestOnly(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"go.mod": "module example.com/lintme\n\ngo 1.22\n",
+		"internal/evaltest/ref.go": `package evaltest
+
+func Ref() int { return 1 }
+`,
+		"internal/eval/eval.go": `package eval
+
+import "example.com/lintme/internal/evaltest"
+
+func Eval() int { return evaltest.Ref() }
+`,
+		"internal/eval/eval_test.go": `package eval
+
+import (
+	"testing"
+
+	"example.com/lintme/internal/evaltest"
+)
+
+func TestEval(t *testing.T) {
+	if Eval() != evaltest.Ref() {
+		t.Fatal("differs")
+	}
+}
+`,
+		"cmd/tool/main.go": `package main
+
+import (
+	"fmt"
+
+	"example.com/lintme/internal/evaltest" //repolint:allow testonly — fixture: annotated importer.
+)
+
+func main() { fmt.Println(evaltest.Ref()) }
+`,
+	})
+	dirs, err := expandDirs(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newLinter(root, "example.com/lintme")
+	for _, dir := range dirs {
+		if err := l.lintDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(l.findings) != 1 || !strings.HasPrefix(l.findings[0], "internal/eval/eval.go:3:") ||
+		!strings.Contains(l.findings[0], "test-only package example.com/lintme/internal/evaltest") {
+		t.Errorf("findings = %q, want one testonly finding at internal/eval/eval.go:3", l.findings)
+	}
+}
+
 // TestLinterSelfClean runs the linter over this repository itself: CI
 // requires a clean run, so the test pins that state.
 func TestLinterSelfClean(t *testing.T) {

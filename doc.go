@@ -7,7 +7,8 @@
 //
 //   - internal/ast, internal/parser: Datalog syntax and analysis
 //   - internal/database, internal/eval: the extensional store and
-//     bottom-up (semi-)naive evaluation
+//     bottom-up evaluation (stratified, semi-naive); internal/evaltest
+//     is the naive reference evaluator its differential tests use
 //   - internal/cq, internal/ucq: conjunctive-query theory — containment
 //     mappings, canonical databases, minimization, Sagiv–Yannakakis
 //   - internal/expansion: expansion/unfolding/proof trees, the

@@ -87,8 +87,8 @@ func (q CQ) Apply(db *database.DB) (*database.Relation, error) {
 }
 
 // ApplyOpt is Apply under explicit evaluation options (worker count,
-// budget, NoPlanner), for callers threading governance or differential
-// configurations through CQ evaluation.
+// budget, cancellation), for callers threading governance through CQ
+// evaluation.
 func (q CQ) ApplyOpt(db *database.DB, opts eval.Options) (*database.Relation, error) {
 	prog := ast.NewProgram(ast.Rule{Head: q.Head, Body: q.Body})
 	rel, _, err := eval.Goal(prog, db, q.Head.Pred, opts)

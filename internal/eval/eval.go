@@ -1,6 +1,9 @@
 // Package eval implements bottom-up evaluation of Datalog programs: the
-// semantics Q_Π(D) = ∪_i Q^i_Π(D) of paper §2.1. Both naive and
-// semi-naive fixpoint strategies are provided; semi-naive is the default.
+// semantics Q_Π(D) = ∪_i Q^i_Π(D) of paper §2.1, computed by one
+// schedule. The program's dependence-graph components (ast.Program.Strata)
+// are fixpointed callees-first, each by semi-naive rounds: a round fires
+// only the rule instances that use at least one fact the previous round
+// derived, and a nonrecursive component is complete after one round.
 //
 // Rules with empty bodies or with head variables not bound by the body
 // (Example 6.2 of the paper uses "dist0(x, x) :- .") are evaluated with
@@ -28,8 +31,8 @@
 // store, fans the rule firings out over Options.Workers goroutines that
 // probe the frozen snapshot lock-free, and applies the buffered
 // derivations in a single-threaded, canonically ordered merge. The
-// output database, Stats, and MaxFacts abort point are bit-identical
-// for every worker count.
+// output database, Stats, and budget trip points are bit-identical for
+// every worker count.
 package eval
 
 import (
@@ -95,54 +98,20 @@ type Stats struct {
 	Budget guard.Usage
 }
 
-// Options configure evaluation.
+// Options configure evaluation. They bound, parallelize or cancel the
+// one schedule; none selects a different one.
 type Options struct {
-	// Naive selects the naive strategy (recompute every rule against
-	// the full store each round) instead of semi-naive.
-	Naive bool
-	// MaxFacts aborts evaluation once more than this many IDB facts
-	// have been derived; 0 means unlimited. Deprecated compatibility
-	// shim: it is folded into Budget.MaxFacts (which wins when both are
-	// set) so eval shares the guard accounting path with the decision
-	// procedures. The bound is enforced at every merge in canonical
-	// order, so the abort round and the reported fact count are
-	// identical for every worker count.
-	MaxFacts int
 	// Budget declares guard-layer resource limits: derived facts
-	// (Facts), rule-body firings (Steps), and wall time, all enforced at
-	// single-threaded points so trips are bit-identical for every worker
+	// (MaxFacts), rule-body firings (MaxSteps), plan constructions
+	// (MaxPlans) and wall time, all enforced at single-threaded points
+	// in canonical order so trips are bit-identical for every worker
 	// count. A trip aborts evaluation with a *guard.LimitError carrying
 	// a progress snapshot; the partial database is still returned.
 	Budget guard.Budget
-	// NoPlanner disables cost-based join ordering: plans keep the
-	// textual body order with the same index pushdown — the engine's
-	// historical fixed left-to-right behavior. The fixpoint, Stats
-	// counters (except index and plan-cache statistics), and budget
-	// trip points are identical with and without the planner; the flag
-	// exists for differential testing and plan-regression debugging.
-	NoPlanner bool
 	// Workers is the number of goroutines that fire rules within a
 	// round; 0 or negative means runtime.GOMAXPROCS(0). Results are
 	// bit-identical for every value.
 	Workers int
-	// Optimize runs the internal/opt static optimizer over the program
-	// before compilation (requires that package to be linked in; it
-	// registers itself via RegisterOptimizer) and evaluates the result
-	// under its SCC-stratified schedule: each dependence-graph component
-	// is fixpointed to completion in topological order instead of one
-	// global round loop. The goal relation — and, when OptimizeGoal is
-	// unset, the entire fixpoint — is identical with and without the
-	// flag; Stats.Iterations counts the per-stratum rounds, so round
-	// counts differ from the global loop. The schedule and every rewrite
-	// are computed single-threaded in canonical order, so the
-	// worker-count bit-determinism contract is unchanged.
-	Optimize bool
-	// OptimizeGoal names the goal predicate for Optimize's goal-directed
-	// rewrites (dead-code elimination, constant propagation, recursion
-	// elimination). When set, relations the goal does not depend on may
-	// be absent from the output database; "" applies only
-	// fixpoint-preserving rewrites.
-	OptimizeGoal string
 	// Ctx, when non-nil, cancels evaluation: long 2EXPTIME-ish runs
 	// return Ctx.Err() promptly (workers poll a cancellation flag
 	// between and within tasks) with a partial database.
@@ -152,16 +121,6 @@ type Options struct {
 // window is a half-open range [lo, hi) of row IDs in a relation's slab:
 // the facts a predicate gained during one fixpoint round.
 type window struct{ lo, hi int }
-
-// budget folds the deprecated MaxFacts shim into the guard budget:
-// Budget.MaxFacts wins when both are set.
-func (o Options) budget() guard.Budget {
-	b := o.Budget
-	if b.MaxFacts == 0 && o.MaxFacts > 0 {
-		b.MaxFacts = int64(o.MaxFacts)
-	}
-	return b
-}
 
 // Eval computes the least fixpoint of prog over edb and returns a
 // database containing all EDB facts plus every derived IDB fact. The
@@ -203,14 +162,6 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 	if err := validateArities(prog, edb); err != nil {
 		return nil, Stats{}, nil, err
 	}
-	prog, optSummary, err := opts.optimize(prog)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	var strata []ast.Stratum
-	if opts.Optimize {
-		strata = prog.Strata()
-	}
 	rules, maxVars := compileRules(prog)
 	e := &evaluator{
 		prog:    prog,
@@ -218,11 +169,11 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 		maxVars: maxVars,
 		total:   edb.Layer(),
 		opts:    opts,
-		meter:   opts.budget().Started().Meter(),
-		planner: &plan.Planner{Fixed: opts.NoPlanner},
+		meter:   opts.Budget.Started().Meter(),
+		planner: &plan.Planner{},
 		frozen:  make(map[string]int),
 		explain: explain,
-		strata:  strata,
+		strata:  prog.Strata(),
 	}
 	if needsDomain(rules) {
 		e.domain = activeDomain(prog, edb)
@@ -240,7 +191,6 @@ func evalWith(prog *ast.Program, edb *database.DB, opts Options, explain bool) (
 	stats.Budget = e.meter.Usage()
 	if explain {
 		ex = e.buildExplain(stats)
-		ex.Opt = optSummary
 	}
 	return e.total, stats, ex, err
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"datalogeq/internal/database"
+	"datalogeq/internal/evaltest"
+	"datalogeq/internal/guard"
 	"datalogeq/internal/parser"
 )
 
@@ -14,23 +16,32 @@ func TestTransitiveClosure(t *testing.T) {
 		p(X, Y) :- e(X, Y).
 	`)
 	db := database.MustParse("e(a, b). e(b, c). e(c, d).")
-	for _, naive := range []bool{false, true} {
-		rel, stats, err := Goal(prog, db, "p", Options{Naive: naive})
-		if err != nil {
-			t.Fatalf("naive=%v: %v", naive, err)
+	rel, stats, err := Goal(prog, db, "p", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]string{{"a", "b"}, {"a", "c"}, {"a", "d"}, {"b", "c"}, {"b", "d"}, {"c", "d"}}
+	if rel.Len() != len(want) {
+		t.Fatalf("got %d tuples, want %d", rel.Len(), len(want))
+	}
+	for _, w := range want {
+		if !rel.Contains(database.Tuple{w[0], w[1]}) {
+			t.Errorf("missing %v", w)
 		}
-		want := [][2]string{{"a", "b"}, {"a", "c"}, {"a", "d"}, {"b", "c"}, {"b", "d"}, {"c", "d"}}
-		if rel.Len() != len(want) {
-			t.Fatalf("naive=%v: got %d tuples, want %d", naive, rel.Len(), len(want))
-		}
-		for _, w := range want {
-			if !rel.Contains(database.Tuple{w[0], w[1]}) {
-				t.Errorf("naive=%v: missing %v", naive, w)
-			}
-		}
-		if stats.Iterations < 2 {
-			t.Errorf("naive=%v: iterations = %d", naive, stats.Iterations)
-		}
+	}
+	if stats.Iterations < 2 {
+		t.Errorf("iterations = %d", stats.Iterations)
+	}
+	out, _, err := Eval(prog, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := evaltest.Eval(prog, db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Equal(ref.DB) || stats.Derived != ref.Derived {
+		t.Errorf("engine (%d derived) and oracle (%d derived) disagree:\n%s\nvs\n%s", stats.Derived, ref.Derived, out, ref.DB)
 	}
 }
 
@@ -44,12 +55,12 @@ func TestNaiveSemiNaiveAgreeOnCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Eval(prog, db, Options{Naive: true})
+	ref, err := evaltest.Eval(prog, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Equal(b) {
-		t.Errorf("semi-naive and naive disagree:\n%s\nvs\n%s", a, b)
+	if !a.Equal(ref.DB) {
+		t.Errorf("semi-naive engine and naive oracle disagree:\n%s\nvs\n%s", a, ref.DB)
 	}
 	// On a cycle {a,b} everything reaches everything in that component.
 	for _, pair := range [][2]string{{"a", "a"}, {"b", "b"}, {"a", "c"}} {
@@ -160,7 +171,7 @@ func TestMaxFacts(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		db.Add("e", database.Tuple{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)})
 	}
-	_, _, err := Eval(prog, db, Options{MaxFacts: 10})
+	_, _, err := Eval(prog, db, Options{Budget: guard.Budget{MaxFacts: 10}})
 	if err == nil {
 		t.Error("MaxFacts should abort")
 	}
@@ -179,7 +190,7 @@ func TestSemiNaiveDoesLessWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nv, err := Eval(prog, db, Options{Naive: true})
+	nv, err := evaltest.Eval(prog, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,15 +42,14 @@ import (
 // Join order does not leak into the contract either: the set of
 // complete matches of a rule body under a delta restriction is
 // independent of the order the atoms are joined in, so Firings, Derived
-// facts, round counts, and budget trips are identical whether the
-// cost-based planner or the fixed textual order (Options.NoPlanner)
-// produced the plans. Only the index-usage counters and the plan-cache
-// statistics differ between the two modes.
+// facts, round counts, and budget trips do not depend on the plans the
+// cost-based planner chose.
 //
-// This is Jacobi-style iteration: facts derived in round i are visible
-// to joins from round i+1 on, never mid-round. The fixpoint is the same
-// (every round is monotone and bounded by the naive fixpoint), though
-// round counts can differ from an engine with mid-round visibility.
+// Within a stratum this is Jacobi-style iteration: facts derived in
+// round i are visible to joins from round i+1 on, never mid-round. The
+// fixpoint is the same as naive evaluation's (every round is monotone
+// and bounded by the naive fixpoint), though round counts can differ
+// from an engine with mid-round visibility.
 
 // task is one unit of parallel work: fire rule against the frozen
 // store, with body position deltaPos (if >= 0) restricted to window w,
@@ -97,10 +96,9 @@ type evaluator struct {
 	stop     *atomic.Bool
 	matchers []*matcher
 
-	// strata, when non-nil, is the SCC-stratified evaluation schedule
-	// (Options.Optimize): each stratum's rules are fixpointed to
-	// completion before the next stratum starts. nil runs the single
-	// global round loop.
+	// strata is the evaluation schedule: each dependence-graph
+	// component's rules are fixpointed to completion before the next
+	// component starts.
 	strata []ast.Stratum
 
 	// frozen records each relation's length at the current round
@@ -140,19 +138,13 @@ func (e *evaluator) run() (Stats, error) {
 	e.stop = stop
 	defer release()
 
-	if e.strata == nil {
-		e.snapshot()
-		return e.stats, e.fixpoint(nil)
-	}
-	// Stratified driver: fixpoint each dependence-graph component to
-	// completion in topological (callees-first) order. Every body
-	// predicate of a stratum's rules is extensional or defined in the
-	// same or an earlier — already completed — stratum, so the union of
-	// the per-stratum fixpoints is the program's least fixpoint. The
-	// schedule is a pure function of the program and each stratum runs
-	// the same plan/fire/merge phases as the global loop, so the
-	// worker-count determinism contract is unchanged; only the round
-	// structure (and hence Stats.Iterations) differs.
+	// Fixpoint each dependence-graph component to completion in
+	// topological (callees-first) order. Every body predicate of a
+	// stratum's rules is extensional or defined in the same or an
+	// earlier — already completed — stratum, so the union of the
+	// per-stratum fixpoints is the program's least fixpoint. The
+	// schedule is a pure function of the program, so the worker-count
+	// determinism contract holds across strata as within one.
 	for _, s := range e.strata {
 		e.snapshot()
 		if err := e.fixpoint(s.Rules); err != nil {
@@ -162,8 +154,10 @@ func (e *evaluator) run() (Stats, error) {
 	return e.stats, nil
 }
 
-// fixpoint runs the round loop restricted to ruleSet (nil = every rule)
-// until the restricted rules derive nothing new.
+// fixpoint runs semi-naive rounds over one stratum's rules until they
+// derive nothing new. The first round fires every rule against the
+// full store; later rounds fire only the tasks whose delta position
+// reads a predicate that grew in the previous round.
 func (e *evaluator) fixpoint(ruleSet []int) error {
 	var delta map[string]window // nil: fire every rule against the full store
 	for {
@@ -174,10 +168,10 @@ func (e *evaluator) fixpoint(ruleSet []int) error {
 			return err
 		}
 		tasks := e.buildTasks(ruleSet, delta)
-		if ruleSet != nil && delta != nil && len(tasks) == 0 {
-			// Stratified semi-naive: the last growth feeds no rule of this
-			// stratum (typical for a nonrecursive stratum), so the stratum
-			// is complete without an empty round.
+		if delta != nil && len(tasks) == 0 {
+			// The last growth feeds no rule of this stratum (always so
+			// for a nonrecursive stratum), so the stratum is complete
+			// without an empty round.
 			return nil
 		}
 		if err := e.planTasks(tasks); err != nil {
@@ -193,14 +187,9 @@ func (e *evaluator) fixpoint(ruleSet []int) error {
 		if mergeErr != nil {
 			return mergeErr
 		}
-		next := e.advance()
-		if len(next) == 0 {
+		delta = e.advance()
+		if len(delta) == 0 {
 			return nil
-		}
-		if e.opts.Naive {
-			delta = nil
-		} else {
-			delta = next
 		}
 	}
 }
@@ -235,10 +224,10 @@ func (e *evaluator) advance() map[string]window {
 	return delta
 }
 
-// buildTasks lists the round's work in canonical order: rules in
-// program order (restricted to ruleSet when non-nil — the active
-// stratum's ascending rule indexes); within a rule, delta positions in
-// body order. The merge replays results in this same order.
+// buildTasks lists the round's work in canonical order: the active
+// stratum's rules in ascending index order; within a rule, delta
+// positions in body order. The merge replays results in this same
+// order.
 func (e *evaluator) buildTasks(ruleSet []int, delta map[string]window) []task {
 	var tasks []task
 	add := func(ri int) {
@@ -252,14 +241,8 @@ func (e *evaluator) buildTasks(ruleSet []int, delta map[string]window) []task {
 			}
 		}
 	}
-	if ruleSet == nil {
-		for ri := range e.rules {
-			add(ri)
-		}
-	} else {
-		for _, ri := range ruleSet {
-			add(ri)
-		}
+	for _, ri := range ruleSet {
+		add(ri)
 	}
 	return tasks
 }

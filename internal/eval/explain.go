@@ -20,10 +20,6 @@ type Explain struct {
 	// Plan-cache totals, duplicated from Stats for self-contained
 	// rendering.
 	PlanCacheHits, PlanCacheMisses, PlanReplans uint64
-	// Opt is the static optimizer's per-pass summary when
-	// Options.Optimize ran; nil otherwise. The rule plans above describe
-	// the optimized program.
-	Opt *OptSummary
 }
 
 // RuleExplain groups the plans chosen for one source rule.
@@ -42,8 +38,6 @@ type PlanExplain struct {
 	DeltaPos int
 	// Epoch is the stats epoch the plan was costed at.
 	Epoch uint64
-	// Fixed marks a textual-order plan (Options.NoPlanner).
-	Fixed bool
 	// Tasks counts how many tasks executed the plan.
 	Tasks int
 	// Est is the cost model's cumulative row estimate per step, in plan
@@ -60,21 +54,13 @@ type PlanExplain struct {
 // String renders the whole report.
 func (ex *Explain) String() string {
 	var b strings.Builder
-	if ex.Opt != nil {
-		b.WriteString("optimizer:\n")
-		b.WriteString(ex.Opt.String())
-	}
 	for _, re := range ex.Rules {
 		fmt.Fprintf(&b, "%s\n", re.Rule)
 		for _, pe := range re.Plans {
-			mode := ""
-			if pe.Fixed {
-				mode = ", fixed order"
-			}
 			if pe.DeltaPos < 0 {
-				fmt.Fprintf(&b, "  [full round, epoch %d, %d task(s)%s]\n", pe.Epoch, pe.Tasks, mode)
+				fmt.Fprintf(&b, "  [full round, epoch %d, %d task(s)]\n", pe.Epoch, pe.Tasks)
 			} else {
-				fmt.Fprintf(&b, "  [delta at body atom %d, epoch %d, %d task(s)%s]\n", pe.DeltaPos+1, pe.Epoch, pe.Tasks, mode)
+				fmt.Fprintf(&b, "  [delta at body atom %d, epoch %d, %d task(s)]\n", pe.DeltaPos+1, pe.Epoch, pe.Tasks)
 			}
 			b.WriteString(pe.Text)
 		}
@@ -127,7 +113,6 @@ func (e *evaluator) buildExplain(stats Stats) *Explain {
 			re.Plans = append(re.Plans, PlanExplain{
 				DeltaPos: tr.deltaPos,
 				Epoch:    tr.p.Epoch,
-				Fixed:    tr.p.Fixed,
 				Tasks:    tr.tasks,
 				Est:      est,
 				Actual:   tr.rows,

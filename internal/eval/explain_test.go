@@ -63,16 +63,3 @@ func TestEvalExplainRendering(t *testing.T) {
 		}
 	}
 }
-
-// TestEvalExplainFixedMode: planner-off plans are flagged in the
-// report, so a differential reader can tell the modes apart.
-func TestEvalExplainFixedMode(t *testing.T) {
-	prog := parser.MustProgram(`p(X, Y) :- e(X, Y).`)
-	_, _, ex, err := eval.EvalExplain(prog, gen.ChainGraph(5), eval.Options{NoPlanner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ex.String(), "fixed order") {
-		t.Errorf("fixed-order plan not flagged:\n%s", ex.String())
-	}
-}

@@ -11,8 +11,7 @@ import (
 
 // Incremental view maintenance entry points. The algorithm lives in
 // internal/ivm, which evaluates through this package's machinery; the
-// registration indirection below breaks the cycle the same way the
-// static optimizer's hook does (optimize.go).
+// registration indirection below breaks that import cycle.
 
 // UpdateStats reports the work one incremental update (Insert or
 // Retract) performed, the maintenance analogue of Stats. Every counter

@@ -13,6 +13,7 @@ import (
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
 	"datalogeq/internal/gen"
+	"datalogeq/internal/guard"
 	"datalogeq/internal/parser"
 )
 
@@ -89,7 +90,6 @@ func TestParallelMatchesSequentialTestdata(t *testing.T) {
 		}
 		for seed := int64(0); seed < 3; seed++ {
 			assertWorkersAgree(t, prog, edbFor(prog, seed, 5, 12), eval.Options{})
-			assertWorkersAgree(t, prog, edbFor(prog, seed, 5, 12), eval.Options{Naive: true})
 		}
 	}
 }
@@ -116,8 +116,8 @@ func TestParallelMaxFactsAbort(t *testing.T) {
 		p(X, Y) :- e(X, Y).
 	`)
 	db := gen.ChainGraph(30)
-	for _, limit := range []int{1, 7, 50, 200} {
-		assertWorkersAgree(t, prog, db, eval.Options{MaxFacts: limit})
+	for _, limit := range []int64{1, 7, 50, 200} {
+		assertWorkersAgree(t, prog, db, eval.Options{Budget: guard.Budget{MaxFacts: limit}})
 	}
 }
 
@@ -172,7 +172,7 @@ func FuzzParallelEval(f *testing.F) {
 		db := edbFor(prog, seed, 4, 8)
 		// MaxFacts bounds adversarial blowups and simultaneously fuzzes
 		// the deterministic-abort path.
-		opts := eval.Options{MaxFacts: 2000, Workers: 1}
+		opts := eval.Options{Budget: guard.Budget{MaxFacts: 2000}, Workers: 1}
 		base, baseStats, baseErr := eval.Eval(prog, db, opts)
 		opts.Workers = 4
 		out, stats, err := eval.Eval(prog, db, opts)

@@ -10,74 +10,49 @@ import (
 	"datalogeq/internal/ast"
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
+	"datalogeq/internal/evaltest"
 	"datalogeq/internal/gen"
 	"datalogeq/internal/guard"
 	"datalogeq/internal/parser"
 )
 
-// modeComparable strips the Stats fields that legitimately differ
-// between planner-on and planner-off runs: index usage and plan-cache
-// counters depend on the chosen join orders. Everything else —
-// fixpoint size, round count, firings, budget fact/step accounting —
-// must not, because the set of complete matches of a rule body is
-// independent of the order its atoms are joined in.
-func modeComparable(s eval.Stats) eval.Stats {
-	s = statsComparable(s)
-	s.IndexHits, s.IndexBuilds, s.IndexAppends = 0, 0, 0
-	s.PlanCacheHits, s.PlanCacheMisses, s.PlanReplans = 0, 0, 0
-	s.Budget.Plans = 0
-	return s
-}
-
-// tripComparable renders an error for cross-mode comparison: a
-// *guard.LimitError snapshot legitimately differs in the Plans
-// dimension (plan constructions depend on the chosen join orders and
-// the index builds they trigger), so it is zeroed before rendering.
-func tripComparable(err error) string {
-	if err == nil {
-		return ""
-	}
-	var le *guard.LimitError
-	if errors.As(err, &le) {
-		cp := *le
-		cp.Usage.Plans = 0
-		return cp.Error()
-	}
-	return err.Error()
-}
-
-// assertModesAgree runs the same evaluation with the cost-based
-// planner on and off and asserts the observable outcome is identical:
-// same database and same mode-comparable Stats on a clean run, same
-// normalized trip error and same fact count on a budget trip. (A
-// mid-merge Facts trip cuts one task's buffer at an enumeration-order-
-// dependent point, so the tripping task's partial contents — but
-// nothing else — may differ between join orders.)
-func assertModesAgree(t *testing.T, prog *ast.Program, db *database.DB, opts eval.Options) {
+// assertOracleAgrees runs the engine at 1 and 4 workers and the
+// reference evaluator (internal/evaltest: naive rounds, textual body
+// order, nested loops) on the same input and asserts they agree. When
+// the fixpoint has at most opts.Budget.MaxFacts derived facts (or the
+// budget is unlimited) the engine must finish with the oracle's fact
+// set and Derived count; when it has more, the engine must trip the
+// facts budget, as the oracle does.
+func assertOracleAgrees(t *testing.T, prog *ast.Program, db *database.DB, opts eval.Options) {
 	t.Helper()
-	opts.NoPlanner = false
-	base, baseStats, baseErr := eval.Eval(prog, db, opts)
-	opts.NoPlanner = true
-	out, stats, err := eval.Eval(prog, db, opts)
-	if tripComparable(err) != tripComparable(baseErr) {
-		t.Fatalf("planner-off err = %v, planner-on err = %v", err, baseErr)
-	}
-	if modeComparable(stats) != modeComparable(baseStats) {
-		t.Errorf("planner-off stats = %+v, planner-on stats = %+v",
-			modeComparable(stats), modeComparable(baseStats))
-	}
-	if out.FactCount() != base.FactCount() {
-		t.Errorf("planner-off facts = %d, planner-on facts = %d", out.FactCount(), base.FactCount())
-	}
-	if err == nil && out.String() != base.String() {
-		t.Errorf("planner-off output differs from planner-on:\n%s\nvs\n%s", out, base)
+	ref, refErr := evaltest.Eval(prog, db, int(opts.Budget.MaxFacts))
+	tooLarge := errors.Is(refErr, evaltest.ErrTooLarge)
+	for _, w := range []int{1, 4} {
+		opts.Workers = w
+		out, stats, err := eval.Eval(prog, db, opts)
+		if tooLarge {
+			var le *guard.LimitError
+			if !errors.As(err, &le) || le.Resource != guard.Facts {
+				t.Fatalf("workers=%d: oracle exceeds %d facts, engine err = %v", w, opts.Budget.MaxFacts, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("workers=%d: engine err = %v, oracle derived %d facts", w, err, ref.Derived)
+		}
+		if !out.Equal(ref.DB) {
+			t.Fatalf("workers=%d: engine fixpoint differs from the oracle's:\n%s\nvs\n%s", w, out, ref.DB)
+		}
+		if stats.Derived != ref.Derived {
+			t.Fatalf("workers=%d: engine derived %d facts, oracle %d", w, stats.Derived, ref.Derived)
+		}
 	}
 }
 
 // TestPlannerOffDifferentialTestdata runs every testdata program over
-// random databases with the planner on and off, in both semi-naive and
-// naive strategies, and additionally pins the planner-off engine's own
-// worker-count independence.
+// random databases through the planned engine and through the oracle,
+// which joins in textual order with no planner, and asserts the same
+// fixpoint.
 func TestPlannerOffDifferentialTestdata(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.dl"))
 	if err != nil || len(files) == 0 {
@@ -93,29 +68,43 @@ func TestPlannerOffDifferentialTestdata(t *testing.T) {
 			continue // fact files and non-program data
 		}
 		for seed := int64(0); seed < 3; seed++ {
-			assertModesAgree(t, prog, edbFor(prog, seed, 5, 12), eval.Options{})
-			assertModesAgree(t, prog, edbFor(prog, seed, 5, 12), eval.Options{Naive: true})
-			assertWorkersAgree(t, prog, edbFor(prog, seed, 5, 12), eval.Options{NoPlanner: true})
+			assertOracleAgrees(t, prog, edbFor(prog, seed, 5, 12), eval.Options{})
 		}
 	}
 }
 
-// TestPlannerOffDifferentialBudgetTrips asserts budget trips land at
-// the same point in both modes: same round, same normalized error,
-// same fact/step accounting — for fact limits and step limits, and for
-// every worker count within the planner-off mode.
+// TestPlannerOffDifferentialBudgetTrips: a facts budget trips exactly
+// when the oracle's fixpoint exceeds it, and a steps budget exactly
+// when the unbounded run's firings exceed it. Either way the trip lands
+// at the same point for every worker count.
 func TestPlannerOffDifferentialBudgetTrips(t *testing.T) {
 	prog := parser.MustProgram(`
 		p(X, Y) :- e(X, Z), p(Z, Y).
 		p(X, Y) :- e(X, Y).
 	`)
 	db := gen.ChainGraph(30)
-	for _, limit := range []int{1, 7, 50, 200} {
-		assertModesAgree(t, prog, db, eval.Options{MaxFacts: limit})
-		assertWorkersAgree(t, prog, db, eval.Options{MaxFacts: limit, NoPlanner: true})
+	full, fullStats, err := eval.Eval(prog, db, eval.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, limit := range []int64{1, 100, 5000} {
-		assertModesAgree(t, prog, db, eval.Options{Budget: guard.Budget{MaxSteps: limit}})
+	derived := int64(fullStats.Derived)
+	for _, limit := range []int64{1, 7, 50, 200, derived - 1, derived} {
+		opts := eval.Options{Budget: guard.Budget{MaxFacts: limit}}
+		assertOracleAgrees(t, prog, db, opts)
+		assertWorkersAgree(t, prog, db, opts)
+	}
+	for _, limit := range []int64{1, 100, int64(fullStats.Firings) - 1, int64(fullStats.Firings)} {
+		opts := eval.Options{Budget: guard.Budget{MaxSteps: limit}}
+		out, _, err := eval.Eval(prog, db, opts)
+		var le *guard.LimitError
+		tripped := errors.As(err, &le) && le.Resource == guard.Steps
+		if want := limit < int64(fullStats.Firings); tripped != want || (!want && err != nil) {
+			t.Errorf("steps limit %d over %d firings: err = %v", limit, fullStats.Firings, err)
+		}
+		if !tripped && !out.Equal(full) {
+			t.Errorf("steps limit %d: untripped run differs from the unbounded one", limit)
+		}
+		assertWorkersAgree(t, prog, db, opts)
 	}
 }
 
@@ -160,26 +149,33 @@ func TestPlanCacheStableRounds(t *testing.T) {
 // TestStarJoinPlannedBeatsFixedOrder is the planner's reason to exist,
 // measured structurally rather than by wall clock: on a star join with
 // the selective atom textually last, the planned order must touch at
-// most half the intermediate rows the fixed left-to-right order does
-// (the generator's keys/selKeys ratio makes the true gap ~30x), while
-// deriving exactly the same facts.
+// most half the intermediate rows the textual left-to-right order of
+// the oracle does (the generator's keys/selKeys ratio makes the true
+// gap ~30x), while deriving exactly the same facts.
 func TestStarJoinPlannedBeatsFixedOrder(t *testing.T) {
 	prog, db := gen.StarJoin(3, 120, 2, 4)
-	_, on, exOn, err := eval.EvalExplain(prog, db, eval.Options{})
+	out, on, exOn, err := eval.EvalExplain(prog, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, off, exOff, err := eval.EvalExplain(prog, db, eval.Options{NoPlanner: true})
+	ref, err := evaltest.Eval(prog, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Derived != off.Derived || on.Firings != off.Firings {
-		t.Fatalf("modes disagree on the fixpoint: derived %d/%d, firings %d/%d",
-			on.Derived, off.Derived, on.Firings, off.Firings)
+	if on.Derived != ref.Derived || !out.Equal(ref.DB) {
+		t.Fatalf("engine and oracle disagree on the fixpoint: derived %d/%d", on.Derived, ref.Derived)
 	}
-	onRows, offRows := totalActual(exOn), totalActual(exOff)
+	// The program is one nonrecursive rule: the engine fires it once,
+	// and every naive round of the oracle repeats the same textual-order
+	// join, so one round's rows are the fixed order's cost.
+	var offRows uint64
+	for _, v := range ref.Rows[0] {
+		offRows += v
+	}
+	offRows /= uint64(ref.Rounds)
+	onRows := totalActual(exOn)
 	if onRows == 0 || offRows < 2*onRows {
-		t.Errorf("planned order saves no work: %d rows planned vs %d fixed", onRows, offRows)
+		t.Errorf("planned order saves no work: %d rows planned vs %d textual order", onRows, offRows)
 	}
 	// The chosen join tree must open at the selective atom even though
 	// it is textually last.
@@ -203,11 +199,11 @@ func totalActual(ex *eval.Explain) uint64 {
 	return n
 }
 
-// FuzzPlannedEval fuzzes the planner differential: for any program the
-// parser accepts and any random database, planner-off evaluation at 1
-// and 4 workers is observably identical to planner-on — same fixpoint,
-// same mode-comparable stats, same normalized (possibly budget-trip)
-// error.
+// FuzzPlannedEval fuzzes the planner against the oracle: for any
+// program the parser accepts and any random database, the planned
+// engine at 1 and 4 workers derives the same fact set and the same
+// Derived count as the textual-order naive reference evaluator, or
+// trips its facts budget exactly when the oracle's fixpoint exceeds it.
 func FuzzPlannedEval(f *testing.F) {
 	files, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "*.dl"))
 	for _, file := range files {
@@ -224,22 +220,6 @@ func FuzzPlannedEval(f *testing.F) {
 		if err != nil || prog.Validate() != nil || len(prog.Rules) == 0 {
 			return
 		}
-		db := edbFor(prog, seed, 4, 8)
-		base, baseStats, baseErr := eval.Eval(prog, db, eval.Options{MaxFacts: 2000, Workers: 1})
-		for _, w := range []int{1, 4} {
-			out, stats, err := eval.Eval(prog, db, eval.Options{MaxFacts: 2000, Workers: w, NoPlanner: true})
-			if tripComparable(err) != tripComparable(baseErr) {
-				t.Fatalf("workers=%d planner-off err = %v, planner-on err = %v", w, err, baseErr)
-			}
-			if modeComparable(stats) != modeComparable(baseStats) {
-				t.Fatalf("workers=%d stats = %+v, want %+v", w, modeComparable(stats), modeComparable(baseStats))
-			}
-			if out.FactCount() != base.FactCount() {
-				t.Fatalf("workers=%d facts = %d, want %d", w, out.FactCount(), base.FactCount())
-			}
-			if err == nil && out.String() != base.String() {
-				t.Fatalf("workers=%d planner-off output differs:\n%s\nvs\n%s", w, out, base)
-			}
-		}
+		assertOracleAgrees(t, prog, edbFor(prog, seed, 4, 8), eval.Options{Budget: guard.Budget{MaxFacts: 2000}})
 	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"datalogeq/internal/ast"
 	"datalogeq/internal/database"
+	"datalogeq/internal/guard"
 	"datalogeq/internal/parser"
 )
 
@@ -105,7 +106,7 @@ func TestMaxFactsAbortsMidRound(t *testing.T) {
 		db.Add("e", database.Tuple{fmt.Sprintf("a%d", i)})
 		db.Add("f", database.Tuple{fmt.Sprintf("b%d", i)})
 	}
-	_, stats, err := Eval(prog, db, Options{MaxFacts: 10})
+	_, stats, err := Eval(prog, db, Options{Budget: guard.Budget{MaxFacts: 10}})
 	if err == nil {
 		t.Fatal("MaxFacts should abort")
 	}

@@ -53,9 +53,8 @@ func Example11TrendyNR() *ast.Program {
 //	tc(X, Y)  :- e(X, Z), tc(Z, Y).
 //	tc(X, Y)  :- e(X, Y).
 //
-// Under the global Jacobi loop the j and top rules re-fire against
-// every tc delta of every round; the stratified driver runs them once,
-// after tc has converged.
+// The stratified schedule runs the j and top rules once, after tc has
+// converged, instead of re-firing them against every tc delta.
 func LayeredTC() *ast.Program {
 	return parser.MustProgram(`
 		top(X, Y) :- j(X, Y).

@@ -191,7 +191,7 @@ func wire(prog *ast.Program, rules []mrule, base, live *database.DB, opts eval.O
 		counted:          make(map[string]bool),
 		base:             base,
 		live:             live,
-		planner:          &plan.Planner{Fixed: opts.NoPlanner},
+		planner:          &plan.Planner{},
 	}
 	for _, s := range m.strata {
 		body := make(map[string]bool)
@@ -496,11 +496,7 @@ func (m *maint) Base() *database.DB { return m.base }
 // like one evaluation: trips are deterministic because every charge
 // happens at a single-threaded point in canonical order.
 func (m *maint) meter() *guard.Meter {
-	b := m.opts.Budget
-	if b.MaxFacts == 0 && m.opts.MaxFacts > 0 {
-		b.MaxFacts = int64(m.opts.MaxFacts)
-	}
-	return b.Started().Meter()
+	return m.opts.Budget.Started().Meter()
 }
 
 // groundRow validates one ground fact against the program and existing

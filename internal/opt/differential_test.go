@@ -10,7 +10,9 @@ import (
 	"datalogeq/internal/ast"
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
+	"datalogeq/internal/evaltest"
 	"datalogeq/internal/gen"
+	"datalogeq/internal/opt"
 	"datalogeq/internal/parser"
 )
 
@@ -53,22 +55,22 @@ func relEqual(a, b *database.Relation) bool {
 	return a.Equal(b)
 }
 
-// assertOptimizedAgrees evaluates prog with the optimizer off and on
-// (at workers 1, 2, and 8) and asserts they compute the same result:
-// the same goal relation when a goal is set — goal-directed rewrites
-// may prune everything else — and the identical full fixpoint when not.
+// assertOptimizedAgrees evaluates prog and its optimized rewrite (at
+// workers 1, 2, and 8) and asserts they compute the same result: the
+// same goal relation when a goal is set — goal-directed rewrites may
+// prune everything else — and the identical full fixpoint when not.
 func assertOptimizedAgrees(t *testing.T, prog *ast.Program, db *database.DB, goal string) {
 	t.Helper()
 	base, _, err := eval.Eval(prog, db, eval.Options{})
 	if err != nil {
 		t.Fatalf("unoptimized eval: %v", err)
 	}
+	optimized, _, err := opt.Optimize(prog, opt.Options{Goal: goal})
+	if err != nil {
+		t.Fatalf("optimize (goal %q): %v", goal, err)
+	}
 	for _, w := range []int{1, 2, 8} {
-		out, _, err := eval.Eval(prog, db, eval.Options{
-			Optimize:     true,
-			OptimizeGoal: goal,
-			Workers:      w,
-		})
+		out, _, err := eval.Eval(optimized, db, eval.Options{Workers: w})
 		if err != nil {
 			t.Fatalf("optimized eval (goal %q, workers %d): %v", goal, w, err)
 		}
@@ -109,19 +111,21 @@ func TestOptimizedDifferentialTestdata(t *testing.T) {
 	}
 }
 
-// TestOptimizedWorkersBitIdentical pins the determinism contract under
-// the SCC-stratified driver: with the optimizer on, the database
-// rendering (insertion order included) and Stats are identical at
-// every worker count.
+// TestOptimizedWorkersBitIdentical pins the determinism contract on an
+// optimized multi-stratum program: the database rendering (insertion
+// order included) and Stats are identical at every worker count.
 func TestOptimizedWorkersBitIdentical(t *testing.T) {
-	prog := parser.MustProgram(`
+	prog, _, err := opt.Optimize(parser.MustProgram(`
 		top(X, Y) :- j(X, Y).
 		j(X, Y) :- tc(X, Z), tc(Z, Y).
 		tc(X, Y) :- e(X, Y).
 		tc(X, Y) :- e(X, Z), tc(Z, Y).
-	`)
+	`), opt.Options{Goal: "top"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := gen.ChainGraph(12)
-	opts := eval.Options{Optimize: true, OptimizeGoal: "top", Workers: 1}
+	opts := eval.Options{Workers: 1}
 	base, baseStats, err := eval.Eval(prog, db, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -145,11 +149,11 @@ func TestOptimizedWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStratifiedReducesRounds pins the point of the per-SCC driver: on
-// a multi-stratum program the global Jacobi loop re-runs every rule
-// each round until the slowest component converges, while the
-// stratified schedule fixpoints each component once — strictly fewer
-// total rounds on a chain long enough to matter.
+// TestStratifiedReducesRounds pins the point of the per-SCC schedule:
+// a nonrecursive stratum runs exactly one round instead of re-firing
+// until the slowest component converges, so the whole program takes
+// its recursive strata's rounds plus one per nonrecursive stratum, and
+// fires strictly less than the naive oracle.
 func TestStratifiedReducesRounds(t *testing.T) {
 	prog := parser.MustProgram(`
 		top(X, Y) :- j(X, Y).
@@ -158,19 +162,40 @@ func TestStratifiedReducesRounds(t *testing.T) {
 		tc(X, Y) :- e(X, Z), tc(Z, Y).
 	`)
 	db := gen.ChainGraph(16)
-	_, global, err := eval.Eval(prog, db, eval.Options{})
+	out, stats, err := eval.Eval(prog, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, strat, err := eval.Eval(prog, db, eval.Options{Optimize: true})
+	var recursive []ast.Rule
+	nonrecursive := 0
+	for _, s := range prog.Strata() {
+		if !s.Recursive {
+			nonrecursive++
+			continue
+		}
+		for _, ri := range s.Rules {
+			recursive = append(recursive, prog.Rules[ri])
+		}
+	}
+	if nonrecursive != 2 {
+		t.Fatalf("schedule %s has %d nonrecursive strata, want 2", ast.FormatStrata(prog.Strata()), nonrecursive)
+	}
+	_, rec, err := eval.Eval(ast.NewProgram(recursive...), db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat.Derived != global.Derived {
-		t.Fatalf("stratified derived %d facts, global %d", strat.Derived, global.Derived)
+	if stats.Iterations != rec.Iterations+nonrecursive {
+		t.Errorf("iterations = %d, want %d recursive-stratum rounds + %d", stats.Iterations, rec.Iterations, nonrecursive)
 	}
-	if strat.Firings >= global.Firings {
-		t.Errorf("stratified firings = %d, want < global %d (nonrecursive strata must not re-fire every round)",
-			strat.Firings, global.Firings)
+	ref, err := evaltest.Eval(prog, db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Derived != ref.Derived || !out.Equal(ref.DB) {
+		t.Fatalf("engine derived %d facts, oracle %d", stats.Derived, ref.Derived)
+	}
+	if stats.Firings >= ref.Firings {
+		t.Errorf("engine firings = %d, want < oracle %d (nonrecursive strata must not re-fire every round)",
+			stats.Firings, ref.Firings)
 	}
 }

@@ -97,9 +97,10 @@ func randomConjunction(rng *rand.Rand, nslots int) []Atom {
 }
 
 // TestExecMatchesBruteForce: for random conjunctions over a random
-// store, the greedy plan, the fixed plan, and the brute-force reference
-// all enumerate exactly the same set of complete matches — the
-// join-order-independence that eval's determinism contract rests on.
+// store, the greedy plan, plans compiled in random atom orders, and the
+// brute-force reference all enumerate exactly the same set of complete
+// matches — the join-order-independence that eval's determinism
+// contract rests on.
 func TestExecMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := database.New()
@@ -120,21 +121,31 @@ func TestExecMatchesBruteForce(t *testing.T) {
 			hi = lo + rng.Intn(rel.Len()-lo+1)
 		}
 		want := bruteMatches(atoms, nslots, db, deltaPos, lo, hi)
-		fp := Fingerprint(atoms, nil)
-		for _, fixed := range []bool{false, true} {
-			pl := Planner{Fixed: fixed}
-			p, _ := pl.Plan(Request{
-				Atoms: atoms, Fingerprint: fp, NumSlots: nslots,
-				DeltaPos: deltaPos, DB: db, Epoch: 0,
-			})
+		var pl Planner
+		planned, _ := pl.Plan(Request{
+			Atoms: atoms, Fingerprint: Fingerprint(atoms, nil), NumSlots: nslots,
+			DeltaPos: deltaPos, DB: db, Epoch: 0,
+		})
+		plans := map[string]*Plan{"planned": planned}
+		for k := 0; k < 3; k++ {
+			order := rng.Perm(len(atoms))
+			p := &Plan{DeltaPos: deltaPos, NumSlots: nslots, Steps: compileSteps(atoms, order, deltaPos, db, nil)}
+			for i := range p.Steps {
+				if st := &p.Steps[i]; st.Mask != 0 && st.rel != nil {
+					st.rel.EnsureIndex(st.Mask)
+				}
+			}
+			plans[fmt.Sprintf("order %v", order)] = p
+		}
+		for name, p := range plans {
 			got := execMatches(p, nslots, Window{Lo: lo, Hi: hi})
 			if len(got) != len(want) {
-				t.Fatalf("trial %d (fixed=%v): %d matches, want %d\natoms: %+v",
-					trial, fixed, len(got), len(want), atoms)
+				t.Fatalf("trial %d (%s): %d matches, want %d\natoms: %+v",
+					trial, name, len(got), len(want), atoms)
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d (fixed=%v): match %d = %s, want %s", trial, fixed, i, got[i], want[i])
+					t.Fatalf("trial %d (%s): match %d = %s, want %s", trial, name, i, got[i], want[i])
 				}
 			}
 		}

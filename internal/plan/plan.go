@@ -155,8 +155,6 @@ type Plan struct {
 	Epoch       uint64
 	// NumSlots is the environment size the executor needs.
 	NumSlots int
-	// Fixed marks a plan built in textual body order (planner off).
-	Fixed bool
 	// Residual marks a plan whose DeltaPos atom is not a step at all:
 	// the caller binds that atom's slots in Env before running and
 	// verifies its constant/repeat constraints itself. Incremental

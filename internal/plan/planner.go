@@ -97,12 +97,6 @@ type shapeKey struct {
 // it is not safe for concurrent use (eval plans single-threaded between
 // rounds).
 type Planner struct {
-	// Fixed disables cost-based ordering: plans keep the textual body
-	// order, with the same mask/pushdown compilation. This is the
-	// "planner off" baseline of the differential tests — identical
-	// semantics to the pre-planner left-to-right engine.
-	Fixed bool
-
 	cache map[cacheKey]*Plan
 	seen  map[shapeKey]uint64
 
@@ -153,24 +147,12 @@ func (pl *Planner) build(req Request) *Plan {
 			}
 		}
 	}
-	var order []int
-	if pl.Fixed {
-		order = make([]int, 0, len(req.Atoms))
-		for i := range req.Atoms {
-			if req.Residual && i == req.DeltaPos {
-				continue
-			}
-			order = append(order, i)
-		}
-	} else {
-		order = chooseOrder(req.Atoms, req.DeltaPos, req.DB, req.Residual)
-	}
+	order := chooseOrder(req.Atoms, req.DeltaPos, req.DB, req.Residual)
 	p := &Plan{
 		DeltaPos:    req.DeltaPos,
 		Fingerprint: req.Fingerprint,
 		Epoch:       req.Epoch,
 		NumSlots:    req.NumSlots,
-		Fixed:       pl.Fixed,
 		Residual:    req.Residual,
 	}
 	stepDelta := req.DeltaPos

@@ -121,41 +121,29 @@ func TestPlanCacheHitMissReplan(t *testing.T) {
 	}
 }
 
-// TestFixedModeKeepsTextualOrder: the planner-off baseline preserves
-// atom order and still compiles index pushdown.
-func TestFixedModeKeepsTextualOrder(t *testing.T) {
-	db := starDB(t)
-	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 0, 2), atomV("sel", 0)}
-	pl := Planner{Fixed: true}
-	p, _ := pl.Plan(Request{
-		Atoms: atoms, Fingerprint: Fingerprint(atoms, nil), NumSlots: 3,
-		DeltaPos: -1, DB: db, Epoch: db.StatsEpoch(),
-	})
-	for i, st := range p.Steps {
-		if st.Atom != i {
-			t.Fatalf("fixed plan reordered: step %d runs atom %d", i, st.Atom)
-		}
-	}
-	if p.Steps[0].Mask != 0 {
-		t.Errorf("first textual atom has nothing bound; mask = %b", p.Steps[0].Mask)
-	}
-	if p.Steps[1].Mask != 1 || p.Steps[2].Mask != 1 {
-		t.Errorf("later atoms must probe on the shared key: masks %b, %b", p.Steps[1].Mask, p.Steps[2].Mask)
-	}
-}
-
 // TestDeadSlotAnnotation: a slot unused after its last join and absent
 // from the head is annotated at that step; head slots never are.
 func TestDeadSlotAnnotation(t *testing.T) {
-	db := starDB(t)
-	// e(s0, s1), f(s1, s2); head reads s0, s2 — s1 dies at the second
+	// d1 has two rows and d2 fifty, so the planner opens with d1 and
+	// probes d2 on the shared slot.
+	db := database.New()
+	for i := 0; i < 2; i++ {
+		db.Add("d1", database.Tuple{fmt.Sprintf("a%d", i), fmt.Sprintf("k%d", i)})
+	}
+	for i := 0; i < 50; i++ {
+		db.Add("d2", database.Tuple{fmt.Sprintf("k%d", i%10), fmt.Sprintf("b%d", i)})
+	}
+	// d1(s0, s1), d2(s1, s2); head reads s0, s2 — s1 dies at the second
 	// step once it has keyed the join.
 	atoms := []Atom{atomV("d1", 0, 1), atomV("d2", 1, 2)}
-	pl := Planner{Fixed: true}
+	var pl Planner
 	p, _ := pl.Plan(Request{
 		Atoms: atoms, Fingerprint: Fingerprint(atoms, []int{0, 2}), NumSlots: 3,
 		HeadSlots: []int{0, 2}, DeltaPos: -1, DB: db, Epoch: db.StatsEpoch(),
 	})
+	if p.Steps[0].Atom != 0 || p.Steps[1].Atom != 1 {
+		t.Fatalf("planned order = [%d %d], want [0 1]", p.Steps[0].Atom, p.Steps[1].Atom)
+	}
 	if len(p.Steps[0].Dead) != 0 {
 		t.Errorf("step 0 dead slots = %v, want none", p.Steps[0].Dead)
 	}

@@ -1,16 +1,16 @@
-// Optimizer benchmark families for the SCC-stratified driver (PR 7).
-// Run with
+// Benchmark families for the SCC-stratified schedule on multi-stratum
+// programs. Run with
 //
 //	go test -run=NONE -bench=OptimizedEval .
 //
 // Every family evaluates the three-stratum LayeredTC program — a
 // recursive transitive closure, a join layer over it, and a top copy —
-// over one graph shape, with the static optimizer (and hence the
-// stratified schedule) off and on. The global Jacobi loop re-fires the
-// join layer against every tc delta of every round; the stratified
-// driver fixpoints tc first and runs the join layer once, so rounds
-// and firings drop on every family. Pipe the output through
-// cmd/benchjson to produce the BENCH_PR7.json trajectory file.
+// over one graph shape. The schedule fixpoints tc first and then runs
+// each nonrecursive layer once, so the join layer never re-fires
+// against tc's per-round deltas. The "stratified" lane name is kept
+// from when a global round loop ran beside it, so the figures compare
+// with BENCH_PR7.json; pipe the output through cmd/benchjson to extend
+// that trajectory.
 package datalogeq_test
 
 import (
@@ -20,8 +20,6 @@ import (
 	"datalogeq/internal/database"
 	"datalogeq/internal/eval"
 	"datalogeq/internal/gen"
-
-	_ "datalogeq/internal/opt" // registers the optimizer behind eval.Options.Optimize
 )
 
 func BenchmarkOptimizedEval(b *testing.B) {
@@ -36,28 +34,19 @@ func BenchmarkOptimizedEval(b *testing.B) {
 		{"star48", gen.StarGraph(48)},
 		{"random60x240", gen.RandomGraph(rng, 60, 240)},
 	}
-	modes := []struct {
-		name string
-		opt  bool
-	}{
-		{"global", false},
-		{"stratified", true},
-	}
 	for _, w := range workloads {
-		for _, m := range modes {
-			b.Run(w.name+"/"+m.name, func(b *testing.B) {
-				var stats eval.Stats
-				for i := 0; i < b.N; i++ {
-					_, s, err := eval.Eval(prog, w.db, eval.Options{Workers: 0, Optimize: m.opt})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = s
+		b.Run(w.name+"/stratified", func(b *testing.B) {
+			var stats eval.Stats
+			for i := 0; i < b.N; i++ {
+				_, s, err := eval.Eval(prog, w.db, eval.Options{Workers: 0})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(stats.Derived), "derived")
-				b.ReportMetric(float64(stats.Iterations), "rounds")
-				b.ReportMetric(float64(stats.Firings), "firings")
-			})
-		}
+				stats = s
+			}
+			b.ReportMetric(float64(stats.Derived), "derived")
+			b.ReportMetric(float64(stats.Iterations), "rounds")
+			b.ReportMetric(float64(stats.Firings), "firings")
+		})
 	}
 }

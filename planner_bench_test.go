@@ -1,14 +1,13 @@
-// Planner benchmark families (PR 6): the same evaluation measured with
-// the cost-based join planner on ("planned") and off ("fixed", the
-// historical textual left-to-right order). Run with
+// Planner benchmark families: evaluation under the cost-based join
+// planner. Run with
 //
 //	go test -run=NONE -bench=PlannerEval .
 //
-// The two modes derive bit-identical fixpoints (the differential tests
-// in internal/eval pin that), so the ratio of their ns/op is purely the
-// join-order effect. The star-join family is the headline: its
-// selective atom is textually last, so the fixed order enumerates
-// keys/selKeys times more intermediate rows than the planned order.
+// The star-join family is the headline: its selective atom is textually
+// last, so a left-to-right order would enumerate keys/selKeys times
+// more intermediate rows than the planned order (the textual-order
+// baseline lives in internal/evaltest, and
+// TestStarJoinPlannedBeatsFixedOrder pins the ratio structurally).
 // Everything runs single-worker to keep the measurement free of
 // scheduling noise; pipe through cmd/benchjson for BENCH_PR6.json.
 package datalogeq_test
@@ -26,10 +25,9 @@ import (
 func BenchmarkPlannerEval(b *testing.B) {
 	tc := gen.TransitiveClosure()
 	rng := rand.New(rand.NewSource(1))
-	// Sized so the join work dwarfs Eval's per-call fixed costs (EDB
-	// clone, domain interning, index builds): the fixed order touches
-	// ~keys*fanout^dims intermediate rows, the planned order
-	// ~selKeys*fanout^dims.
+	// Sized so the join work dwarfs Eval's per-call fixed costs (index
+	// builds, planning): the planned order touches ~selKeys*fanout^dims
+	// intermediate rows, a textual order ~keys*fanout^dims.
 	starProg, starDB := gen.StarJoin(3, 100, 20, 2)
 	workloads := []struct {
 		name string
@@ -42,24 +40,19 @@ func BenchmarkPlannerEval(b *testing.B) {
 		{"star3x100", starProg, starDB},
 	}
 	for _, w := range workloads {
-		for _, mode := range []struct {
-			name string
-			off  bool
-		}{{"planned", false}, {"fixed", true}} {
-			b.Run(w.name+"/"+mode.name, func(b *testing.B) {
-				var stats eval.Stats
-				for i := 0; i < b.N; i++ {
-					_, s, err := eval.Eval(w.prog, w.db, eval.Options{Workers: 1, NoPlanner: mode.off})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = s
+		b.Run(w.name+"/planned", func(b *testing.B) {
+			var stats eval.Stats
+			for i := 0; i < b.N; i++ {
+				_, s, err := eval.Eval(w.prog, w.db, eval.Options{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(stats.Derived), "derived")
-				if total := stats.PlanCacheHits + stats.PlanCacheMisses; total > 0 {
-					b.ReportMetric(float64(stats.PlanCacheHits)/float64(total), "cache-hit-rate")
-				}
-			})
-		}
+				stats = s
+			}
+			b.ReportMetric(float64(stats.Derived), "derived")
+			if total := stats.PlanCacheHits + stats.PlanCacheMisses; total > 0 {
+				b.ReportMetric(float64(stats.PlanCacheHits)/float64(total), "cache-hit-rate")
+			}
+		})
 	}
 }
