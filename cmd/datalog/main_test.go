@@ -282,9 +282,10 @@ func TestCmdEvalOptimizeWatch(t *testing.T) {
 			t.Errorf("%v -data -watch top facts:\n%s\nwant:\n%s", extra, goal(got), goal(want))
 		}
 	}
-	// The unoptimized store recovers to exactly the state of a fresh
-	// store seeded with its base, StatsEpoch included, although its
-	// updates reached a stratum whose rules read an earlier stratum.
+	// The unoptimized store recovers to the facts of a from-scratch
+	// fixpoint over its base and the StatsEpoch of a fresh store seeded
+	// with it, although its updates reached a stratum whose rules read
+	// an earlier stratum.
 	out, err := captureStdout(t, func() error {
 		return cmdRecover([]string{"-data", filepath.Join(dir, "store0"), "-program", prog, "-verify"})
 	})
